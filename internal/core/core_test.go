@@ -131,42 +131,6 @@ func TestGenerateAndTableTrindade(t *testing.T) {
 	}
 }
 
-func TestFilterMatching(t *testing.T) {
-	b := mustBench(t, "Trindade16", "mux21")
-	e, err := RunFlow(context.Background(), b, Flow{Library: gatelib.QCAOne, Scheme: clocking.TwoDDWave, Algorithm: AlgoOrtho}, fastLimits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := &Database{Entries: []*Entry{e}}
-	cases := []struct {
-		f    Filter
-		want int
-	}{
-		{Filter{}, 1},
-		{Filter{Set: "trindade16"}, 1},
-		{Filter{Set: "EPFL"}, 0},
-		{Filter{Library: "qcaone"}, 1},
-		{Filter{Library: "bestagon"}, 0},
-		{Filter{Scheme: "2ddwave"}, 1},
-		{Filter{Scheme: "USE"}, 0},
-		{Filter{Algorithm: "ortho"}, 1},
-		{Filter{Algorithm: "exact"}, 0},
-	}
-	for i, c := range cases {
-		if got := len(db.Select(c.f)); got != c.want {
-			t.Errorf("case %d: got %d, want %d", i, got, c.want)
-		}
-	}
-	no := false
-	if got := len(db.Select(Filter{InOrd: &no})); got != 1 {
-		t.Errorf("InOrd=false filter: %d", got)
-	}
-	yes := true
-	if got := len(db.Select(Filter{PLO: &yes})); got != 0 {
-		t.Errorf("PLO=true filter: %d", got)
-	}
-}
-
 func TestFlowString(t *testing.T) {
 	f := Flow{Library: gatelib.Bestagon, Scheme: clocking.Row, Algorithm: AlgoOrtho, InputOrder: true, Hexagonalize: true, PostLayout: true}
 	if got := f.String(); got != "ortho, InOrd (SDN), 45°, PLO" {

@@ -101,20 +101,38 @@ func renderSkipped(total int, counts map[Outcome]int) string {
 	return fmt.Sprintf("%d flows skipped (%s)", total, strings.Join(parts, ", "))
 }
 
-// Best returns the minimum-area entry for one benchmark under one
-// library, or nil when no flow succeeded. Ties on area are broken by
-// fewer crossings, then by the lexicographically smallest Flow.ID(), so
-// the winner never depends on database insertion order.
+// Rank orders layouts of one function under Table I's rule: smaller
+// area wins, ties go to fewer crossings, then to the lexicographically
+// smallest flow ID, so the winner never depends on insertion order.
+// Database.Best and the registry's best-per-function selection both
+// rank by it.
+type Rank struct {
+	Area, Crossings int
+	FlowID          string
+}
+
+// Beats reports whether a ranks strictly before b.
+func (a Rank) Beats(b Rank) bool {
+	if a.Area != b.Area {
+		return a.Area < b.Area
+	}
+	if a.Crossings != b.Crossings {
+		return a.Crossings < b.Crossings
+	}
+	return a.FlowID < b.FlowID
+}
+
+// Best returns the entry that ranks first (see Rank) for one benchmark
+// under one library, or nil when no flow succeeded.
 func (db *Database) Best(set, name string, lib *gatelib.Library) *Entry {
 	var best *Entry
+	var bestRank Rank
 	for _, e := range db.Entries {
 		if e.Benchmark.Set != set || e.Benchmark.Name != name || e.Flow.Library != lib {
 			continue
 		}
-		if best == nil || e.Area < best.Area ||
-			(e.Area == best.Area && e.Crossings < best.Crossings) ||
-			(e.Area == best.Area && e.Crossings == best.Crossings && e.Flow.ID() < best.Flow.ID()) {
-			best = e
+		if r := (Rank{e.Area, e.Crossings, e.Flow.ID()}); best == nil || r.Beats(bestRank) {
+			best, bestRank = e, r
 		}
 	}
 	return best
@@ -138,73 +156,6 @@ func (db *Database) Baseline(set, name string, lib *gatelib.Library) *Entry {
 		}
 	}
 	return fallback
-}
-
-// Filter narrows entries like the MNT Bench website's selection panes.
-type Filter struct {
-	Set       string // benchmark suite, "" = any
-	Name      string // function name, "" = any
-	Library   string // gate library name, "" = any
-	Scheme    string // clocking scheme name, "" = any
-	Algorithm string // physical design algorithm, "" = any
-	InOrd     *bool  // input ordering applied
-	PLO       *bool  // post-layout optimization applied
-}
-
-// Match reports whether the entry satisfies the filter.
-func (f Filter) Match(e *Entry) bool {
-	eq := strings.EqualFold
-	if f.Set != "" && !eq(f.Set, e.Benchmark.Set) {
-		return false
-	}
-	if f.Name != "" && !eq(f.Name, e.Benchmark.Name) {
-		return false
-	}
-	if f.Library != "" {
-		want, err := gatelib.ByName(f.Library)
-		if err != nil || e.Flow.Library != want {
-			return false
-		}
-	}
-	if f.Scheme != "" && !eq(f.Scheme, e.Flow.Scheme.Name) {
-		return false
-	}
-	if f.Algorithm != "" && !eq(f.Algorithm, string(e.Flow.Algorithm)) {
-		return false
-	}
-	if f.InOrd != nil && *f.InOrd != e.Flow.InputOrder {
-		return false
-	}
-	if f.PLO != nil && *f.PLO != e.Flow.PostLayout {
-		return false
-	}
-	return true
-}
-
-// Select returns all entries matching the filter, smallest area first.
-// Equal-area entries order by benchmark (set, name), then by Flow.ID(),
-// so the listing is byte-stable regardless of insertion order.
-func (db *Database) Select(f Filter) []*Entry {
-	var out []*Entry
-	for _, e := range db.Entries {
-		if f.Match(e) {
-			out = append(out, e)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Area != b.Area {
-			return a.Area < b.Area
-		}
-		if a.Benchmark.Set != b.Benchmark.Set {
-			return a.Benchmark.Set < b.Benchmark.Set
-		}
-		if a.Benchmark.Name != b.Benchmark.Name {
-			return a.Benchmark.Name < b.Benchmark.Name
-		}
-		return a.Flow.ID() < b.Flow.ID()
-	})
-	return out
 }
 
 // TableRow is one line of the paper's Table I for one gate library.

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -44,6 +45,47 @@ func (r *Registry) MetricsHandler() http.Handler {
 func Healthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintln(w, `{"status":"ok"}`)
+}
+
+// DebugRoutes configures the operational endpoints MountDebug serves.
+type DebugRoutes struct {
+	Registry *Registry   // served at /metrics
+	Ready    *Readiness  // served at /readyz
+	Journal  *Journal    // streamed at /debug/events; nil answers 503
+	Traces   *TraceStore // served under /debug/traces; nil leaves it unmounted
+	// Perf serves the latest performance snapshot at /debug/perf. It is
+	// a plain handler because the perf package imports obs.
+	Perf  http.Handler
+	Pprof bool // mount the net/http/pprof handlers under /debug/pprof/
+}
+
+// MountDebug mounts the operational surface that the web server and
+// the metrics sidecar share: /metrics, /healthz, /readyz,
+// /debug/events, /debug/perf, and, when configured, /debug/traces and
+// /debug/pprof/.
+func MountDebug(mux *http.ServeMux, d DebugRoutes) {
+	metrics := d.Registry.MetricsHandler()
+	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Every scrape resamples the Go runtime so the mntbench_go_*
+		// gauges are current without a background goroutine.
+		UpdateRuntimeGauges(d.Registry)
+		metrics.ServeHTTP(w, r)
+	}))
+	mux.HandleFunc("/healthz", Healthz)
+	mux.Handle("/readyz", d.Ready.Handler())
+	mux.Handle("/debug/events", d.Journal.EventsHandler())
+	mux.Handle("/debug/perf", d.Perf)
+	if d.Traces != nil {
+		mux.Handle("/debug/traces", d.Traces.Handler())
+		mux.Handle("/debug/traces/", d.Traces.Handler())
+	}
+	if d.Pprof {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
 }
 
 // DefaultRoute normalizes a request path to a bounded-cardinality route

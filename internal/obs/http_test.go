@@ -19,7 +19,7 @@ func TestMiddlewareRecordsRequests(t *testing.T) {
 		w.Write([]byte("ok"))
 	}))
 
-	for _, path := range []string{"/api/benchmarks?set=EPFL", "/api/filters", "/missing"} {
+	for _, path := range []string{"/api/submit?set=EPFL", "/api/submit", "/missing"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 	}
@@ -113,7 +113,7 @@ func TestMiddlewareTracing(t *testing.T) {
 		sp.End()
 		w.Write([]byte("ok"))
 	}))
-	for _, path := range []string{"/api/benchmarks", "/boom"} {
+	for _, path := range []string{"/api/submit", "/boom"} {
 		req := httptest.NewRequest(http.MethodGet, path, nil)
 		req = req.WithContext(WithTraces(context.Background(), ts))
 		h.ServeHTTP(httptest.NewRecorder(), req)
@@ -188,7 +188,7 @@ func TestDefaultRoute(t *testing.T) {
 		"":                     "/",
 		"/metrics":             "/metrics",
 		"/download/a__b.fgl":   "/download",
-		"/api/benchmarks":      "/api",
+		"/api/submit":          "/api",
 		"/debug/pprof/profile": "/debug",
 	} {
 		r := httptest.NewRequest(http.MethodGet, "http://x"+path, nil)

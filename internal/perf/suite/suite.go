@@ -108,8 +108,9 @@ func BenchDeltaA(ctx context.Context, b *testing.B) {
 	}
 }
 
-// BenchWebInterface exercises the Figure 1 web interface (E4): filtered
-// catalogue queries and .fgl downloads against a live server. The setup
+// BenchWebInterface exercises the Figure 1 web interface (E4): the /v1
+// catalogue listing, a filtered listing, the filter grammar and the
+// HTML index against a live server. The setup
 // campaign runs under a deterministic exact-search step budget (like
 // the conformance selftest) instead of a wall-clock timeout, so the
 // catalogue being served — and with it the measured bytes and
@@ -123,10 +124,9 @@ func BenchWebInterface(ctx context.Context, b *testing.B) {
 	srv := httptest.NewServer(server.New(db))
 	defer srv.Close()
 	paths := []string{
-		"/api/benchmarks",
-		"/api/benchmarks?library=QCA+ONE&best=1",
-		"/api/benchmarks?algorithm=ortho",
-		"/api/filters",
+		"/v1/layouts",
+		"/v1/layouts?library=QCA+ONE&algorithm=ortho",
+		"/v1/filters",
 		"/",
 	}
 	b.ResetTimer()

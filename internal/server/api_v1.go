@@ -17,10 +17,9 @@ import (
 // The /v1 API is the versioned, machine-first face of the layout
 // registry: cursor-paginated listings with a closed filter grammar,
 // per-layout metadata, and content-addressed .fgl downloads with
-// strong ETags. Unlike the /api/* endpoints (which render the live
-// database for the Figure 1 web UI), /v1 serves a registry.Storage —
-// in-memory by default, or the on-disk content-addressed store when
-// the server is started with one — so its responses are stable,
+// strong ETags. It reads the same registry.Storage as the Figure 1
+// pages — in-memory by default, or the on-disk content-addressed store
+// when the server is started with one — so its responses are stable,
 // cacheable, and survive restarts unchanged.
 
 // apiError is the typed JSON error body every /v1 endpoint uses.
@@ -262,9 +261,9 @@ func (s *Server) handleV1Stats(w http.ResponseWriter, r *http.Request) {
 	}{st.Layouts, st.Blobs, st.Bytes, st.Campaigns})
 }
 
-// seedStore loads the live database's entries into the storage backend
+// seedStore loads the database's entries into the storage backend
 // under the "live" campaign, so a server started from a generate run
-// serves /v1 without a separate import step. Entries without layouts
+// serves it without a separate import step. Entries without layouts
 // (DiscardLayouts runs) cannot be content-addressed and are skipped.
 func seedStore(st registry.Storage, db *core.Database) error {
 	var batch []registry.Item

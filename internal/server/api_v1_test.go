@@ -15,6 +15,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/clocking"
 	"repro/internal/core"
+	"repro/internal/fgl"
 	"repro/internal/gatelib"
 	"repro/internal/obs"
 	"repro/internal/server/registry"
@@ -191,7 +192,8 @@ func TestV1PaginationWalkExactlyOnce(t *testing.T) {
 // path: bytes identical to the rendered layout, a strong ETag equal to
 // the record hash, 304 on If-None-Match, and the immutable blob alias.
 func TestV1DownloadETagAndRoundTrip(t *testing.T) {
-	srv := New(goldenDB(t))
+	db := goldenDB(t)
+	srv := New(db)
 	id := "trindade16__mux21__qcaone_2ddwave_ortho"
 
 	var single v1LayoutResponse
@@ -212,10 +214,12 @@ func TestV1DownloadETagAndRoundTrip(t *testing.T) {
 	if registry.NewItem(registry.Record{ID: id}, rec.Body.Bytes()).Record.Hash != single.Layout.Hash {
 		t.Fatal("downloaded bytes do not hash to the advertised content address")
 	}
-	// The classic /download endpoint serves the same rendered layout.
-	legacy := get(t, srv, "/download/"+id+".fgl")
-	if legacy.Body.String() != rec.Body.String() {
-		t.Fatal("/v1 download differs from /download for the same layout")
+	rendered, err := fgl.WriteString(db.Entries[0].Layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if core.EntryFileName(db.Entries[0]) != id || rendered != rec.Body.String() {
+		t.Fatal("/v1 download differs from the rendered layout")
 	}
 
 	// Conditional request → 304 with no body.
@@ -297,7 +301,7 @@ func TestV1ETagStableAcrossRestarts(t *testing.T) {
 	}
 }
 
-// TestV1CorruptedBlobIsTypedError pins satellite 4's failure mode: a
+// TestV1CorruptedBlobIsTypedError pins the registry's failure mode: a
 // blob whose bytes no longer match their content address must yield the
 // typed integrity error, never a 200 with wrong bytes.
 func TestV1CorruptedBlobIsTypedError(t *testing.T) {
@@ -328,6 +332,12 @@ func TestV1CorruptedBlobIsTypedError(t *testing.T) {
 	}
 	if body.Error.Code != "integrity" {
 		t.Fatalf("error code %q, want integrity", body.Error.Code)
+	}
+	// The human pages that read the blob fail the same way.
+	for _, path := range []string{"/preview/" + r.ID + ".svg", "/download/bundle.zip"} {
+		if rec := get(t, srv, path); rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "integrity") {
+			t.Errorf("%s over a corrupted blob: status %d %q, want a 500 integrity error", path, rec.Code, rec.Body)
+		}
 	}
 }
 

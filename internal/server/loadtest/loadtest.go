@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,6 +118,29 @@ func buildPlan(handler http.Handler) ([]planEntry, error) {
 	return plan, nil
 }
 
+// checkPages asserts that the human-facing pages answer 200 over the
+// same store before the timed phase: the index, the preview of the
+// first catalogued layout, and the unfiltered ZIP bundle. They are not
+// part of the timed mix, whose ratio is fixed by buildPlan.
+func checkPages(ctx context.Context, handler http.Handler, plan []planEntry) error {
+	var preview string
+	for _, e := range plan {
+		// A layout's first plan entry is its metadata lookup.
+		if id, ok := strings.CutPrefix(e.path, "/v1/layouts/"); ok {
+			preview = "/preview/" + id + ".svg"
+			break
+		}
+	}
+	for _, path := range []string{"/", preview, "/download/bundle.zip"} {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("loadtest: GET %s: HTTP %d", path, rec.Code)
+		}
+	}
+	return nil
+}
+
 // Run executes the load test against handler and grades it using the
 // latency histograms in reg — the registry the handler's middleware
 // records into. The /v1 route families are merged bucket-by-bucket
@@ -135,6 +159,9 @@ func Run(ctx context.Context, handler http.Handler, reg *obs.Registry, opts Opti
 	}
 	plan, err := buildPlan(handler)
 	if err != nil {
+		return Report{}, err
+	}
+	if err := checkPages(ctx, handler, plan); err != nil {
 		return Report{}, err
 	}
 

@@ -3,6 +3,7 @@ package loadtest
 import (
 	"context"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,6 +88,24 @@ func TestRunFailsOnErrorResponses(t *testing.T) {
 	}
 	if rep.Errors == 0 || len(rep.Sample) == 0 {
 		t.Fatalf("failures not reported: %s", rep)
+	}
+}
+
+// TestRunFailsOnBrokenPage pins that the human-facing pages are
+// checked over the same store before the timed /v1 phase.
+func TestRunFailsOnBrokenPage(t *testing.T) {
+	srv, reg := registryServer(t)
+	for _, page := range []string{"/", "/preview/", "/download/bundle.zip"} {
+		broken := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, page) && (page != "/" || r.URL.Path == "/") {
+				w.WriteHeader(http.StatusInternalServerError)
+				return
+			}
+			srv.ServeHTTP(w, r)
+		})
+		if _, err := Run(context.Background(), broken, reg, Options{Concurrency: 2, Requests: 10}); err == nil || !strings.Contains(err.Error(), page) {
+			t.Errorf("run with a broken %s page: err = %v", page, err)
+		}
 	}
 }
 

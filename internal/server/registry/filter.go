@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Filter narrows a listing along the registry's selection dimensions.
@@ -179,6 +181,32 @@ func (f Filter) Match(r *Record) bool {
 		return false
 	}
 	return true
+}
+
+// BestPerFunction keeps, for each (set, name, library), the record
+// that ranks first under Table I's rule (core.Rank: area, then
+// crossings, then flow ID), so the answer never depends on the order
+// of recs. Groups appear in the order of their first record.
+func BestPerFunction(recs []Record) []Record {
+	type key struct{ set, name, lib string }
+	at := make(map[key]int)
+	var out []Record
+	for _, r := range recs {
+		k := key{r.Set, r.Name, r.Library}
+		i, ok := at[k]
+		switch {
+		case !ok:
+			at[k] = len(out)
+			out = append(out, r)
+		case r.rank().Beats(out[i].rank()):
+			out[i] = r
+		}
+	}
+	return out
+}
+
+func (r *Record) rank() core.Rank {
+	return core.Rank{Area: r.Area, Crossings: r.Crossings, FlowID: r.FlowID}
 }
 
 // Signature canonicalizes the filter for embedding in a cursor: a

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -211,5 +214,37 @@ func TestMergeSnapshotDuplicateIDsInBatch(t *testing.T) {
 	}
 	if ap.Added != 1 {
 		t.Fatalf("applied = %+v", ap)
+	}
+}
+
+// TestBestPerFunctionOrderIndependent pins Table I's tie-break: equal
+// areas go to fewer crossings, then to the smallest flow ID, whatever
+// order the records come in.
+func TestBestPerFunctionOrderIndependent(t *testing.T) {
+	rec := func(name, flow string, area, crossings int) Record {
+		return Record{ID: "s__" + name + "__" + flow, Set: "S", Name: name, Library: "QCA ONE",
+			FlowID: flow, Area: area, Crossings: crossings}
+	}
+	cases := []struct {
+		recs []Record
+		want []string
+	}{
+		{[]Record{rec("f", "b", 12, 1), rec("f", "a", 12, 1)}, []string{"s__f__a"}},
+		{[]Record{rec("f", "a", 12, 2), rec("f", "b", 12, 1), rec("f", "c", 13, 0)}, []string{"s__f__b"}},
+		{[]Record{rec("f", "a", 12, 0), rec("g", "a", 5, 0), rec("f", "b", 9, 3)}, []string{"s__f__b", "s__g__a"}},
+	}
+	for i, c := range cases {
+		rev := slices.Clone(c.recs)
+		slices.Reverse(rev)
+		for _, recs := range [][]Record{c.recs, rev} {
+			var got []string
+			for _, r := range BestPerFunction(recs) {
+				got = append(got, r.ID)
+			}
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("case %d: best %v, want %v", i, got, c.want)
+			}
+		}
 	}
 }

@@ -1,17 +1,22 @@
 // Package server provides the MNT Bench web interface (Figure 1 of the
 // paper): a filterable catalogue of generated FCN layouts with downloads
 // of gate-level .fgl files, Verilog network descriptions, and ZIP
-// bundles.
+// bundles. The catalogue is one registry.Storage: the versioned /v1 API
+// and the human-facing pages read it, and community submissions write
+// to it.
 package server
 
 import (
 	"archive/zip"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html/template"
+	"io"
 	"net/http"
-	"net/http/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -28,13 +33,11 @@ import (
 	"repro/internal/verilog"
 )
 
-// Server serves one generated layout database.
+// Server serves one layout catalogue held in a registry.Storage.
 type Server struct {
-	db      *core.Database
 	mux     *http.ServeMux
-	handler http.Handler           // mux wrapped in the obs middleware
-	entries map[string]*core.Entry // id -> entry
-	store   registry.Storage       // backs the /v1 registry API
+	handler http.Handler     // mux wrapped in the obs middleware
+	store   registry.Storage // the catalogue every page reads
 	reg     *obs.Registry
 	log     *obs.Logger
 	traces  *obs.TraceStore
@@ -70,10 +73,10 @@ func WithTraces(ts *obs.TraceStore) Option { return func(s *Server) { s.traces =
 // directory, where the committed trajectory lives).
 func WithPerfDir(dir string) Option { return func(s *Server) { s.perfDir = dir } }
 
-// WithStorage backs the /v1 registry API with st — typically an
-// on-disk content-addressed store opened with registry.OpenDiskStore,
-// so listings and ETags survive restarts. Without it the server seeds
-// an in-memory store from the live database.
+// WithStorage serves the catalogue from st — typically an on-disk
+// content-addressed store opened with registry.OpenDiskStore, so
+// listings and ETags survive restarts. Without it the server keeps an
+// in-memory store.
 func WithStorage(st registry.Storage) Option { return func(s *Server) { s.store = st } }
 
 // WithJournal streams j's live campaign events at /debug/events as
@@ -81,13 +84,12 @@ func WithStorage(st registry.Storage) Option { return func(s *Server) { s.store 
 // journal's handler), so clients get a clear signal instead of a 404.
 func WithJournal(j *obs.Journal) Option { return func(s *Server) { s.journal = j } }
 
-// New builds the HTTP handler around a database.
+// New builds the HTTP handler around the catalogue store. The layouts
+// of db are applied to the store under the "live" campaign, so a
+// server started from a generate run serves them without an import
+// step; pass an empty database to serve a store as it is.
 func New(db *core.Database, opts ...Option) *Server {
-	s := &Server{
-		db:      db,
-		mux:     http.NewServeMux(),
-		entries: make(map[string]*core.Entry),
-	}
+	s := &Server{mux: http.NewServeMux()}
 	for _, o := range opts {
 		o(s)
 	}
@@ -97,55 +99,36 @@ func New(db *core.Database, opts ...Option) *Server {
 	if s.log == nil {
 		s.log = obs.DefaultLogger()
 	}
-	for _, e := range db.Entries {
-		s.entries[entryID(e)] = e
-	}
 	if s.store == nil {
 		s.store = registry.NewMemStore()
 	}
 	if err := seedStore(s.store, db); err != nil {
-		// A layout that cannot render blocks only the registry view of
-		// the database, not the whole UI.
+		// A layout that cannot be rendered leaves the seed batch out;
+		// the server still starts, and the warning names the cause.
 		s.log.Warn("seeding registry store", "err", err)
 	}
 	s.mux.HandleFunc("/", s.handleIndex)
-	s.mux.HandleFunc("/api/benchmarks", s.handleBenchmarks)
-	s.mux.HandleFunc("/api/filters", s.handleFilters)
-	s.mux.HandleFunc("/download/", s.handleDownload)
 	s.mux.HandleFunc("/download/bundle.zip", s.handleBundle)
-	s.mux.HandleFunc("/preview/", s.handlePreview)
+	s.mux.HandleFunc("/download/{file}", s.handleVerilog)
+	s.mux.HandleFunc("/preview/{file}", s.handlePreview)
 	s.mux.HandleFunc("/api/submit", s.handleSubmit)
 	s.mountV1()
-	// Every scrape resamples the Go runtime so the mntbench_go_* gauges
-	// are current without a background goroutine per Server.
-	metricsHandler := s.reg.MetricsHandler()
-	s.mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		obs.UpdateRuntimeGauges(s.reg)
-		metricsHandler.ServeHTTP(w, r)
-	}))
-	s.mux.HandleFunc("/healthz", obs.Healthz)
 	// Readiness starts true: New returns a fully loaded server, so it can
 	// serve the moment it is mounted; BeginShutdown flips it back for
 	// load-balancer drain.
 	s.ready = obs.NewReadiness("")
 	s.ready.Ready()
-	s.mux.Handle("/readyz", s.ready.Handler())
-	s.mux.Handle("/debug/events", s.journal.EventsHandler())
 	if s.perfDir == "" {
 		s.perfDir = "."
 	}
-	s.mux.Handle("/debug/perf", perf.Handler(s.perfDir))
-	if s.pprof {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	if s.traces != nil {
-		s.mux.Handle("/debug/traces", s.traces.Handler())
-		s.mux.Handle("/debug/traces/", s.traces.Handler())
-	}
+	obs.MountDebug(s.mux, obs.DebugRoutes{
+		Registry: s.reg,
+		Ready:    s.ready,
+		Journal:  s.journal,
+		Traces:   s.traces,
+		Perf:     perf.Handler(s.perfDir),
+		Pprof:    s.pprof,
+	})
 	obs.RegisterBuildInfo(s.reg)
 	inner := obs.Middleware(s.reg, routeLabel, s.mux)
 	s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -176,8 +159,7 @@ func (s *Server) BeginShutdown() { s.ready.NotReady("shutting down") }
 func routeLabel(r *http.Request) string {
 	p := r.URL.Path
 	switch {
-	case p == "/", p == "/metrics", p == "/healthz", p == "/readyz",
-		p == "/api/benchmarks", p == "/api/filters", p == "/api/submit",
+	case p == "/", p == "/metrics", p == "/healthz", p == "/readyz", p == "/api/submit",
 		p == "/v1", p == "/v1/layouts", p == "/v1/filters", p == "/v1/stats":
 		return p
 	case strings.HasSuffix(p, "/layout.fgl") && strings.HasPrefix(p, "/v1/layouts/"):
@@ -202,229 +184,141 @@ func routeLabel(r *http.Request) string {
 	return "other"
 }
 
-func entryID(e *core.Entry) string {
-	return fmt.Sprintf("%s__%s__%s",
-		strings.ToLower(e.Benchmark.Set), strings.ToLower(e.Benchmark.Name), e.Flow.ID())
-}
-
-// entryJSON is the wire representation of one catalogue row.
-type entryJSON struct {
-	ID        string  `json:"id"`
-	Set       string  `json:"set"`
-	Name      string  `json:"name"`
-	Inputs    int     `json:"inputs"`
-	Outputs   int     `json:"outputs"`
-	Nodes     int     `json:"nodes"`
-	Library   string  `json:"library"`
-	Scheme    string  `json:"clocking"`
-	Algorithm string  `json:"algorithm"`
-	InOrd     bool    `json:"input_ordering"`
-	PLO       bool    `json:"post_layout_optimization"`
-	Hex       bool    `json:"hexagonalization"`
-	Width     int     `json:"width"`
-	Height    int     `json:"height"`
-	Area      int     `json:"area"`
-	Crossings int     `json:"crossings"`
-	RuntimeS  float64 `json:"runtime_seconds"`
-	Verified  bool    `json:"verified"`
-	FGL       string  `json:"fgl_url"`
-	Verilog   string  `json:"verilog_url"`
-	Preview   string  `json:"preview_url"`
-}
-
-func toJSON(e *core.Entry) entryJSON {
-	id := entryID(e)
-	return entryJSON{
-		ID:        id,
-		Set:       e.Benchmark.Set,
-		Name:      e.Benchmark.Name,
-		Inputs:    e.Benchmark.PubIn,
-		Outputs:   e.Benchmark.PubOut,
-		Nodes:     e.Benchmark.PubNodes,
-		Library:   e.Flow.Library.Name,
-		Scheme:    e.Flow.Scheme.Name,
-		Algorithm: string(e.Flow.Algorithm),
-		InOrd:     e.Flow.InputOrder,
-		PLO:       e.Flow.PostLayout,
-		Hex:       e.Flow.Hexagonalize,
-		Width:     e.Width,
-		Height:    e.Height,
-		Area:      e.Area,
-		Crossings: e.Crossings,
-		RuntimeS:  e.Runtime.Seconds(),
-		Verified:  e.Verified,
-		FGL:       "/download/" + id + ".fgl",
-		Verilog:   "/download/" + id + ".v",
-		Preview:   "/preview/" + id + ".svg",
-	}
-}
-
-// parseFilter maps the Figure 1 selection panes onto a core.Filter.
-func parseFilter(r *http.Request) core.Filter {
+// catalogue selects what the human pages show: the records matching
+// the query under the /v1 filter grammar, cut to the best layout per
+// function when the form's "best" box is ticked, smallest area first,
+// then by ID. A malformed query is a *registry.BadFilterError.
+func (s *Server) catalogue(r *http.Request) (registry.Filter, []registry.Record, error) {
 	q := r.URL.Query()
-	f := core.Filter{
-		Set:       q.Get("set"),
-		Name:      q.Get("name"),
-		Library:   q.Get("library"),
-		Scheme:    q.Get("clocking"),
-		Algorithm: q.Get("algorithm"),
+	best := q.Get("best")
+	q.Del("best")
+	f, err := registry.ParseFilterQuery(q)
+	if err != nil {
+		return f, nil, err
 	}
-	if v := q.Get("inord"); v != "" {
-		b := v == "1" || strings.EqualFold(v, "true")
-		f.InOrd = &b
-	}
-	if v := q.Get("plo"); v != "" {
-		b := v == "1" || strings.EqualFold(v, "true")
-		f.PLO = &b
-	}
-	return f
-}
-
-func (s *Server) selected(r *http.Request) []*core.Entry {
-	sel := s.db.Select(parseFilter(r))
-	if v := r.URL.Query().Get("best"); v == "1" || strings.EqualFold(v, "true") {
-		sel = bestOnly(sel)
-	}
-	return sel
-}
-
-// bestOnly keeps the smallest-area entry per (set, name, library).
-func bestOnly(entries []*core.Entry) []*core.Entry {
-	type key struct{ set, name, lib string }
-	best := make(map[key]*core.Entry)
-	var order []key
-	for _, e := range entries {
-		k := key{e.Benchmark.Set, e.Benchmark.Name, e.Flow.Library.Name}
-		if cur, ok := best[k]; !ok || e.Area < cur.Area {
-			if !ok {
-				order = append(order, k)
-			}
-			best[k] = e
+	snap := s.store.Snapshot()
+	var recs []registry.Record
+	for i := range snap {
+		if f.Match(&snap[i]) {
+			recs = append(recs, snap[i])
 		}
 	}
-	out := make([]*core.Entry, 0, len(order))
-	for _, k := range order {
-		out = append(out, best[k])
+	if best == "1" || strings.EqualFold(best, "true") {
+		recs = registry.BestPerFunction(recs)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Area < out[j].Area })
-	return out
+	sort.Slice(recs, func(i, j int) bool {
+		if recs[i].Area != recs[j].Area {
+			return recs[i].Area < recs[j].Area
+		}
+		return recs[i].ID < recs[j].ID
+	})
+	return f, recs, nil
 }
 
-func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	sel := s.selected(r)
-	rows := make([]entryJSON, 0, len(sel))
-	for _, e := range sel {
-		rows = append(rows, toJSON(e))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(rows); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func (s *Server) handleFilters(w http.ResponseWriter, r *http.Request) {
-	opts := struct {
-		Sets       []string `json:"sets"`
-		Libraries  []string `json:"libraries"`
-		Clockings  []string `json:"clockings"`
-		Algorithms []string `json:"algorithms"`
-		Levels     []string `json:"abstraction_levels"`
-		Optim      []string `json:"optimizations"`
-	}{
-		Sets:       bench.Suites(),
-		Levels:     []string{"network (.v)", "gate-level (.fgl)"},
-		Algorithms: []string{string(core.AlgoExact), string(core.AlgoOrtho), string(core.AlgoNanoPlaceR)},
-		Optim:      []string{"Post-Layout Optimization", "Input Ordering"},
-	}
-	for _, l := range gatelib.All() {
-		opts.Libraries = append(opts.Libraries, l.Name)
-	}
-	for _, c := range clocking.All() {
-		opts.Clockings = append(opts.Clockings, c.Name)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(opts); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
-	path := strings.TrimPrefix(r.URL.Path, "/download/")
-	if path == "bundle.zip" {
-		s.handleBundle(w, r)
-		return
-	}
-	var id, format string
+// storeError answers a failed store read on the human pages: a blob
+// that fails its content address is a 500, as on /v1, and a missing
+// layout or blob is a 404.
+func storeError(w http.ResponseWriter, err error) {
+	var ie *registry.IntegrityError
 	switch {
-	case strings.HasSuffix(path, ".fgl"):
-		id, format = strings.TrimSuffix(path, ".fgl"), "fgl"
-	case strings.HasSuffix(path, ".v"):
-		id, format = strings.TrimSuffix(path, ".v"), "v"
+	case errors.As(err, &ie):
+		http.Error(w, ie.Error(), http.StatusInternalServerError)
+	case errors.Is(err, registry.ErrNotFound):
+		http.Error(w, err.Error(), http.StatusNotFound)
 	default:
-		http.NotFound(w, r)
-		return
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-	e, ok := s.entries[id]
+}
+
+// handleVerilog serves the network description (.v) of a catalogued
+// layout's benchmark function; the .fgl itself is served by /v1.
+func (s *Server) handleVerilog(w http.ResponseWriter, r *http.Request) {
+	id, ok := strings.CutSuffix(r.PathValue("file"), ".v")
 	if !ok {
 		http.NotFound(w, r)
 		return
 	}
-	body, err := renderEntry(e, format)
+	rec, err := s.store.Get(id)
+	if err != nil {
+		storeError(w, err)
+		return
+	}
+	bm, err := bench.ByName(rec.Set, rec.Name)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
+	}
+	body, err := verilog.WriteString(bm.Build())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", path))
-	fmt.Fprint(w, body)
+	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+".v"))
+	_, _ = io.WriteString(w, body)
 }
 
-func renderEntry(e *core.Entry, format string) (string, error) {
-	switch format {
-	case "fgl":
-		return fgl.WriteString(e.Layout)
-	case "v":
-		return verilog.WriteString(e.Benchmark.Build())
-	}
-	return "", fmt.Errorf("unknown format %q", format)
-}
-
+// handleBundle zips the selected layouts' .fgl blobs plus one .v per
+// benchmark function. The archive is built before anything is sent,
+// so a blob failing its integrity check still turns into a 500.
 func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
-	sel := s.selected(r)
-	if len(sel) == 0 {
-		http.Error(w, "no benchmarks match the filter", http.StatusNotFound)
+	_, recs, err := s.catalogue(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(recs) == 0 {
+		http.Error(w, "no layouts match the filter", http.StatusNotFound)
+		return
+	}
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	seenVerilog := make(map[string]bool)
+	for _, rec := range recs {
+		body, err := s.store.Blob(rec.Hash)
+		if err != nil {
+			storeError(w, err)
+			return
+		}
+		if err := zipFile(zw, rec.ID+".fgl", body); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		vname := strings.ToLower(rec.Set) + "__" + strings.ToLower(rec.Name) + ".v"
+		if seenVerilog[vname] {
+			continue
+		}
+		seenVerilog[vname] = true
+		bm, err := bench.ByName(rec.Set, rec.Name)
+		if err != nil {
+			continue // imported functions outside the suites have no .v
+		}
+		v, err := verilog.WriteString(bm.Build())
+		if err == nil {
+			err = zipFile(zw, vname, []byte(v))
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+	}
+	if err := zw.Close(); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/zip")
 	w.Header().Set("Content-Disposition", `attachment; filename="mntbench.zip"`)
-	zw := zip.NewWriter(w)
-	defer zw.Close()
-	seenVerilog := make(map[string]bool)
-	for _, e := range sel {
-		id := entryID(e)
-		f, err := zw.Create(id + ".fgl")
-		if err != nil {
-			return
-		}
-		body, err := renderEntry(e, "fgl")
-		if err != nil {
-			return
-		}
-		fmt.Fprint(f, body)
-		vname := strings.ToLower(e.Benchmark.Set) + "__" + strings.ToLower(e.Benchmark.Name) + ".v"
-		if !seenVerilog[vname] {
-			seenVerilog[vname] = true
-			vf, err := zw.Create(vname)
-			if err != nil {
-				return
-			}
-			vbody, err := renderEntry(e, "v")
-			if err != nil {
-				return
-			}
-			fmt.Fprint(vf, vbody)
-		}
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	_, _ = w.Write(buf.Bytes())
+}
+
+func zipFile(zw *zip.Writer, name string, body []byte) error {
+	f, err := zw.Create(name)
+	if err != nil {
+		return err
 	}
+	_, err = f.Write(body)
+	return err
 }
 
 // handleSubmit implements the paper's community-submission loop
@@ -472,7 +366,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "layout does not implement "+set+"/"+name, http.StatusUnprocessableEntity)
 		return
 	}
-	prevBest := s.db.Best(bm.Set, bm.Name, lib)
 	e := &core.Entry{
 		Benchmark: bm,
 		Flow: core.Flow{Library: lib, Scheme: l.Scheme,
@@ -483,12 +376,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	st := l.ComputeStats()
 	e.Width, e.Height, e.Area = st.Width, st.Height, st.Area
 	e.Gates, e.Wires, e.Crossings = st.Gates, st.Wires, st.Crossings
-	s.db.Entries = append(s.db.Entries, e)
-	s.entries[entryID(e)] = e
-	if item, ierr := registry.FromEntry(e, "submitted"); ierr == nil {
-		if _, aerr := s.store.Apply([]registry.Item{item}); aerr != nil {
-			s.log.Warn("registering submitted layout", "err", aerr)
-		}
+	item, err := registry.FromEntry(e, "submitted")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	prevBest := s.bestArea(registry.Filter{Set: bm.Set, Name: bm.Name, Library: lib.Name})
+	if _, err := s.store.Apply([]registry.Item{item}); err != nil {
+		http.Error(w, "registering the layout: "+err.Error(), http.StatusInternalServerError)
+		return
 	}
 	s.log.Info("layout submitted", "set", bm.Set, "benchmark", bm.Name,
 		"library", lib.Name, "area", e.Area)
@@ -498,12 +394,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Area     int    `json:"area"`
 		NewBest  bool   `json:"new_best"`
 		PrevBest int    `json:"previous_best_area,omitempty"`
-	}{ID: entryID(e), Area: e.Area}
-	if prevBest != nil {
-		resp.PrevBest = prevBest.Area
-		resp.NewBest = e.Area < prevBest.Area
-	} else {
-		resp.NewBest = true
+	}{ID: item.Record.ID, Area: e.Area, NewBest: prevBest < 0 || e.Area < prevBest}
+	if prevBest >= 0 {
+		resp.PrevBest = prevBest
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
@@ -511,17 +404,43 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handlePreview renders a layout as an inline SVG preview.
+// bestArea is the smallest area among the stored records matching f,
+// or -1 when none match.
+func (s *Server) bestArea(f registry.Filter) int {
+	best := -1
+	snap := s.store.Snapshot()
+	for i := range snap {
+		if f.Match(&snap[i]) && (best < 0 || snap[i].Area < best) {
+			best = snap[i].Area
+		}
+	}
+	return best
+}
+
+// handlePreview renders a catalogued layout as an inline SVG preview.
 func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request) {
-	path := strings.TrimPrefix(r.URL.Path, "/preview/")
-	id := strings.TrimSuffix(path, ".svg")
-	e, ok := s.entries[id]
-	if !ok || e.Layout == nil {
+	id, ok := strings.CutSuffix(r.PathValue("file"), ".svg")
+	if !ok {
 		http.NotFound(w, r)
 		return
 	}
+	rec, err := s.store.Get(id)
+	if err != nil {
+		storeError(w, err)
+		return
+	}
+	body, err := s.store.Blob(rec.Hash)
+	if err != nil {
+		storeError(w, err)
+		return
+	}
+	l, err := fgl.Read(bytes.NewReader(body))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "image/svg+xml")
-	if err := render.WriteSVG(w, e.Layout, render.SVGOptions{TileSize: 18, MaxTiles: 100000}); err != nil {
+	if err := render.WriteSVG(w, l, render.SVGOptions{TileSize: 18, MaxTiles: 100000}); err != nil {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 	}
 }
@@ -542,10 +461,6 @@ td, th { border: 1px solid #999; padding: 2px 8px; font-size: 90%; }
 layouts (.fgl) and network descriptions (.v) are available per row or as
 a ZIP bundle.</p>
 <form method="GET" action="/">
-<fieldset><legend>Abstraction Level</legend>
-  <label><input type="checkbox" name="level" value="network"> Network (.v)</label><br>
-  <label><input type="checkbox" name="level" value="gate"> Gate-level (.fgl)</label>
-</fieldset>
 <fieldset><legend>Gate Library</legend>
   <select name="library"><option value="">any</option>
   {{range .Libraries}}<option{{if eq . $.Sel.Library}} selected{{end}}>{{.}}</option>{{end}}
@@ -576,7 +491,7 @@ a ZIP bundle.</p>
 <tr><td>{{.Set}}</td><td>{{.Name}}</td><td>{{.Inputs}}/{{.Outputs}}</td>
 <td>{{.Library}}</td><td>{{.Scheme}}</td><td>{{.Algorithm}}{{if .InOrd}}, InOrd{{end}}{{if .Hex}}, 45°{{end}}{{if .PLO}}, PLO{{end}}</td>
 <td>{{.Width}}×{{.Height}}</td><td>{{.Area}}</td><td>{{.Crossings}}</td>
-<td><a href="{{.FGL}}">.fgl</a> <a href="{{.Verilog}}">.v</a> <a href="{{.Preview}}">svg</a></td></tr>
+<td><a href="/v1/layouts/{{.ID}}/layout.fgl">.fgl</a> <a href="/download/{{.ID}}.v">.v</a> <a href="/preview/{{.ID}}.svg">svg</a></td></tr>
 {{end}}
 </table>
 <p>{{len .Rows}} layouts.</p>
@@ -587,16 +502,15 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	sel := s.selected(r)
-	rows := make([]entryJSON, 0, len(sel))
-	for _, e := range sel {
-		rows = append(rows, toJSON(e))
+	f, rows, err := s.catalogue(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	f := parseFilter(r)
 	data := struct {
 		Libraries, Clockings, Algorithms []string
-		Rows                             []entryJSON
-		Sel                              core.Filter
+		Rows                             []registry.Record
+		Sel                              registry.Filter
 		Query                            template.URL
 	}{
 		Algorithms: []string{string(core.AlgoExact), string(core.AlgoOrtho), string(core.AlgoNanoPlaceR)},

@@ -6,11 +6,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"html"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +29,7 @@ import (
 	"repro/internal/gatelib"
 	"repro/internal/obs"
 	"repro/internal/perf"
+	"repro/internal/server/registry"
 	"repro/internal/verilog"
 )
 
@@ -57,6 +65,34 @@ func get(t *testing.T, srv *Server, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
+// pageLinks returns the href targets of an HTML page, unescaped.
+func pageLinks(body string) []string {
+	var out []string
+	for _, m := range hrefRE.FindAllStringSubmatch(body, -1) {
+		out = append(out, html.UnescapeString(m[1]))
+	}
+	return out
+}
+
+var hrefRE = regexp.MustCompile(`href="([^"]+)"`)
+
+// indexIDs lists the layout IDs of the catalogue rows that GET path
+// renders, in page order (one preview link per row).
+func indexIDs(t *testing.T, srv *Server, path string) []string {
+	t.Helper()
+	rec := get(t, srv, path)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body)
+	}
+	var ids []string
+	for _, l := range pageLinks(rec.Body.String()) {
+		if id, ok := strings.CutPrefix(l, "/preview/"); ok {
+			ids = append(ids, strings.TrimSuffix(id, ".svg"))
+		}
+	}
+	return ids
+}
+
 func TestIndexPage(t *testing.T) {
 	srv := New(testDB(t))
 	rec := get(t, srv, "/")
@@ -71,79 +107,59 @@ func TestIndexPage(t *testing.T) {
 	}
 }
 
-func TestBenchmarksAPIFilters(t *testing.T) {
-	srv := New(testDB(t))
-
-	var all []map[string]interface{}
-	rec := get(t, srv, "/api/benchmarks")
-	if err := json.Unmarshal(rec.Body.Bytes(), &all); err != nil {
-		t.Fatal(err)
+func TestIndexFilters(t *testing.T) {
+	db := testDB(t)
+	srv := New(db)
+	for _, tc := range []struct {
+		path string
+		want []string
+	}{
+		{"/", []string{
+			"trindade16__mux21__qcaone_2ddwave_ortho",
+			"trindade16__mux21__qcaone_2ddwave_ortho+inord+plo",
+			"trindade16__mux21__bestagon_row_ortho+hex",
+		}},
+		{"/?library=Bestagon", []string{"trindade16__mux21__bestagon_row_ortho+hex"}},
+		{"/?plo=1", []string{"trindade16__mux21__qcaone_2ddwave_ortho+inord+plo"}},
+		{"/?library=QCA+ONE&best=1", []string{core.EntryFileName(db.Best("Trindade16", "mux21", gatelib.QCAOne))}},
+	} {
+		sort.Strings(tc.want)
+		if got := indexIDs(t, srv, tc.path); !sameIDs(got, tc.want) {
+			t.Errorf("%s: rows %v, want %v", tc.path, got, tc.want)
+		}
 	}
-	if len(all) != 3 {
-		t.Fatalf("unfiltered rows = %d", len(all))
-	}
-
-	rec = get(t, srv, "/api/benchmarks?library=Bestagon")
-	var best []map[string]interface{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &best); err != nil {
-		t.Fatal(err)
-	}
-	if len(best) != 1 || best[0]["library"] != "Bestagon" {
-		t.Fatalf("library filter: %v", best)
-	}
-
-	rec = get(t, srv, "/api/benchmarks?plo=1")
-	var plo []map[string]interface{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &plo); err != nil {
-		t.Fatal(err)
-	}
-	if len(plo) != 1 || plo[0]["post_layout_optimization"] != true {
-		t.Fatalf("plo filter: %v", plo)
-	}
-
-	rec = get(t, srv, "/api/benchmarks?library=QCA+ONE&best=1")
-	var bst []map[string]interface{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &bst); err != nil {
-		t.Fatal(err)
-	}
-	if len(bst) != 1 {
-		t.Fatalf("best filter: %d rows", len(bst))
-	}
-}
-
-func TestFiltersAPI(t *testing.T) {
-	srv := New(testDB(t))
-	rec := get(t, srv, "/api/filters")
-	var opts map[string][]string
-	if err := json.Unmarshal(rec.Body.Bytes(), &opts); err != nil {
-		t.Fatal(err)
-	}
-	if len(opts["libraries"]) != 2 || len(opts["sets"]) != 4 {
-		t.Fatalf("filters: %v", opts)
+	// A typo must not silently show the unfiltered catalogue.
+	for _, path := range []string{"/?libary=typo", "/download/bundle.zip?libary=typo"} {
+		rec := get(t, srv, path)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad filter") {
+			t.Errorf("%s: status %d %q, want 400 bad filter", path, rec.Code, rec.Body)
+		}
 	}
 }
 
 func TestDownloadFGL(t *testing.T) {
 	srv := New(testDB(t))
-	var rows []struct {
-		FGL     string `json:"fgl_url"`
-		Verilog string `json:"verilog_url"`
+	rec := get(t, srv, "/?library=QCA+ONE")
+	var fglURL, vURL string
+	for _, l := range pageLinks(rec.Body.String()) {
+		switch {
+		case fglURL == "" && strings.HasSuffix(l, "/layout.fgl"):
+			fglURL = l
+		case vURL == "" && strings.HasSuffix(l, ".v"):
+			vURL = l
+		}
 	}
-	rec := get(t, srv, "/api/benchmarks?library=QCA+ONE")
-	if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
-		t.Fatal(err)
+	if fglURL == "" || vURL == "" {
+		t.Fatalf("no download links on the index: %q / %q", fglURL, vURL)
 	}
-	if len(rows) == 0 {
-		t.Fatal("no rows")
-	}
-	rec = get(t, srv, rows[0].FGL)
+	rec = get(t, srv, fglURL)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("fgl download status %d", rec.Code)
 	}
 	if _, err := fgl.ReadString(rec.Body.String()); err != nil {
 		t.Fatalf("served .fgl does not parse: %v", err)
 	}
-	rec = get(t, srv, rows[0].Verilog)
+	rec = get(t, srv, vURL)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("verilog download status %d", rec.Code)
 	}
@@ -153,12 +169,25 @@ func TestDownloadFGL(t *testing.T) {
 }
 
 func TestDownloadNotFound(t *testing.T) {
-	srv := New(testDB(t))
-	if rec := get(t, srv, "/download/nope.fgl"); rec.Code != http.StatusNotFound {
-		t.Errorf("status %d", rec.Code)
+	st := registry.NewMemStore()
+	srv := New(testDB(t), WithStorage(st))
+	// A layout of a function outside the benchmark suites has no
+	// network description to serve.
+	body, err := st.Blob(st.Snapshot()[0].Hash)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rec := get(t, srv, "/download/nope.xyz"); rec.Code != http.StatusNotFound {
-		t.Errorf("status %d", rec.Code)
+	synth := registry.Record{ID: "synth__net1__qcaone_2ddwave_ortho", Set: "synth", Name: "net1", Library: "QCA ONE"}
+	if _, err := st.Apply([]registry.Item{registry.NewItem(synth, body)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{
+		"/download/nope.v", "/download/nope.fgl", "/download/nope.xyz",
+		"/download/" + synth.ID + ".v", "/preview/nope.svg",
+	} {
+		if rec := get(t, srv, path); rec.Code != http.StatusNotFound {
+			t.Errorf("%s: status %d", path, rec.Code)
+		}
 	}
 }
 
@@ -204,17 +233,11 @@ func TestBundleEmptyFilter(t *testing.T) {
 
 func TestPreviewSVG(t *testing.T) {
 	srv := New(testDB(t))
-	var rows []struct {
-		Preview string `json:"preview_url"`
+	ids := indexIDs(t, srv, "/?library=QCA+ONE")
+	if len(ids) == 0 {
+		t.Fatal("no preview links")
 	}
-	rec := get(t, srv, "/api/benchmarks?library=QCA+ONE")
-	if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 || rows[0].Preview == "" {
-		t.Fatal("no preview URL")
-	}
-	rec = get(t, srv, rows[0].Preview)
+	rec := get(t, srv, "/preview/"+ids[0]+".svg")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("preview status %d", rec.Code)
 	}
@@ -223,9 +246,6 @@ func TestPreviewSVG(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "<svg") {
 		t.Error("not an SVG")
-	}
-	if rec := get(t, srv, "/preview/nope.svg"); rec.Code != http.StatusNotFound {
-		t.Errorf("missing preview status %d", rec.Code)
 	}
 }
 
@@ -277,7 +297,7 @@ func TestSubmitLayout(t *testing.T) {
 		t.Errorf("new_best=%v inconsistent with %d vs %d", resp.NewBest, resp.Area, resp.PrevBest)
 	}
 	// The submission must now be downloadable.
-	if rec := get(t, srv, "/download/"+resp.ID+".fgl"); rec.Code != http.StatusOK {
+	if rec := get(t, srv, "/v1/layouts/"+resp.ID+"/layout.fgl"); rec.Code != http.StatusOK {
 		t.Errorf("submitted layout not downloadable: %d", rec.Code)
 	}
 
@@ -303,10 +323,10 @@ func TestMetricsReflectRequests(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := New(testDB(t), WithRegistry(reg))
 
-	if rec := get(t, srv, "/api/benchmarks"); rec.Code != http.StatusOK {
-		t.Fatalf("api status %d", rec.Code)
+	if rec := get(t, srv, "/"); rec.Code != http.StatusOK {
+		t.Fatalf("index status %d", rec.Code)
 	}
-	if rec := get(t, srv, "/download/nope.fgl"); rec.Code != http.StatusNotFound {
+	if rec := get(t, srv, "/download/nope.v"); rec.Code != http.StatusNotFound {
 		t.Fatalf("download status %d", rec.Code)
 	}
 
@@ -319,9 +339,9 @@ func TestMetricsReflectRequests(t *testing.T) {
 	}
 	body := rec.Body.String()
 	for _, want := range []string{
-		`mntbench_http_requests_total{code="200",route="/api/benchmarks"} 1`,
+		`mntbench_http_requests_total{code="200",route="/"} 1`,
 		`mntbench_http_requests_total{code="404",route="/download"} 1`,
-		`mntbench_http_request_duration_seconds_count{route="/api/benchmarks"} 1`,
+		`mntbench_http_request_duration_seconds_count{route="/"} 1`,
 		`mntbench_http_requests_in_flight 1`, // the /metrics request itself
 	} {
 		if !strings.Contains(body, want) {
@@ -372,10 +392,10 @@ func TestTracesOptIn(t *testing.T) {
 
 	ts := obs.NewTraceStore(obs.TracePolicy{})
 	srv := New(db, WithRegistry(obs.NewRegistry()), WithTraces(ts))
-	if rec := get(t, srv, "/api/benchmarks"); rec.Code != http.StatusOK {
-		t.Fatalf("api status %d", rec.Code)
+	if rec := get(t, srv, "/"); rec.Code != http.StatusOK {
+		t.Fatalf("index status %d", rec.Code)
 	}
-	if rec := get(t, srv, "/download/nope.fgl"); rec.Code != http.StatusNotFound {
+	if rec := get(t, srv, "/download/nope.v"); rec.Code != http.StatusNotFound {
 		t.Fatalf("download status %d", rec.Code)
 	}
 
@@ -406,7 +426,7 @@ func TestTracesOptIn(t *testing.T) {
 		}
 		paths[tr.Attrs["path"]] = true
 	}
-	if !paths["/api/benchmarks"] || !paths["/download/nope.fgl"] {
+	if !paths["/"] || !paths["/download/nope.v"] {
 		t.Errorf("request paths not annotated: %v", paths)
 	}
 
@@ -590,5 +610,145 @@ func TestDebugEventsStreams(t *testing.T) {
 			}
 			return
 		}
+	}
+}
+
+// TestPagesReadTheStore pins the single serving path: over a store
+// holding records that New's database lacks, the index, the previews,
+// the .v downloads and the ZIP bundle show exactly the records a
+// /v1/layouts walk returns under the same filter, and a submission
+// shows up on every one of them.
+func TestPagesReadTheStore(t *testing.T) {
+	db := testDB(t)
+	st := registry.NewMemStore()
+	for _, e := range db.Entries {
+		item, err := registry.FromEntry(e, "imported")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Apply([]registry.Item{item}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(&core.Database{Entries: db.Entries[:1]}, WithStorage(st))
+
+	walk := func(query string) []string {
+		var ids []string
+		cursor := ""
+		for {
+			path := "/v1/layouts?limit=1&" + query
+			if cursor != "" {
+				path += "&cursor=" + url.QueryEscape(cursor)
+			}
+			var page v1ListResponse
+			if err := json.Unmarshal(get(t, srv, path).Body.Bytes(), &page); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			for _, r := range page.Layouts {
+				ids = append(ids, r.ID)
+			}
+			if page.NextCursor == "" {
+				sort.Strings(ids)
+				return ids
+			}
+			cursor = page.NextCursor
+		}
+	}
+	check := func(query string) []string {
+		t.Helper()
+		want := walk(query)
+		if got := indexIDs(t, srv, "/?"+query); !sameIDs(got, want) {
+			t.Errorf("index %q shows %v, /v1 walk %v", query, got, want)
+		}
+		for _, id := range want {
+			for _, path := range []string{"/preview/" + id + ".svg", "/download/" + id + ".v"} {
+				if rec := get(t, srv, path); rec.Code != http.StatusOK {
+					t.Errorf("%s: status %d", path, rec.Code)
+				}
+			}
+		}
+		rec := get(t, srv, "/download/bundle.zip?"+query)
+		zr, err := zip.NewReader(bytes.NewReader(rec.Body.Bytes()), int64(rec.Body.Len()))
+		if err != nil {
+			t.Fatalf("bundle %q: status %d: %v", query, rec.Code, err)
+		}
+		var bundled []string
+		for _, f := range zr.File {
+			if id, ok := strings.CutSuffix(f.Name, ".fgl"); ok {
+				bundled = append(bundled, id)
+			}
+		}
+		if !sameIDs(bundled, want) {
+			t.Errorf("bundle %q holds %v, /v1 walk %v", query, bundled, want)
+		}
+		return want
+	}
+	for _, query := range []string{"", "library=QCA+ONE", "plo=0"} {
+		if ids := check(query); len(ids) == 0 {
+			t.Errorf("%q: empty walk", query)
+		}
+	}
+	if got := len(check("")); got != 3 {
+		t.Fatalf("catalogue holds %d layouts, want the store's 3", got)
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/api/submit?set=Trindade16&name=mux21", strings.NewReader(submittableLayout(t)))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("submit status %d: %s", rec.Code, rec.Body)
+	}
+	var resp struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{"", "library=QCA+ONE", "plo=0"} {
+		if ids := check(query); !slices.Contains(ids, resp.ID) {
+			t.Errorf("%q: submission %s missing from %v", query, resp.ID, ids)
+		}
+	}
+}
+
+func sameIDs(got, want []string) bool {
+	got = append([]string(nil), got...)
+	sort.Strings(got)
+	return reflect.DeepEqual(got, want)
+}
+
+// TestBestMatchesTableI pins that the "most optimal only" box picks the
+// layout Table I does.
+func TestBestMatchesTableI(t *testing.T) {
+	db := goldenDB(t)
+	srv := New(db)
+	var want []string
+	for _, lib := range gatelib.All() {
+		if e := db.Best("Trindade16", "mux21", lib); e != nil {
+			want = append(want, core.EntryFileName(e))
+		}
+	}
+	sort.Strings(want)
+	if got := indexIDs(t, srv, "/?best=1"); !sameIDs(got, want) {
+		t.Errorf("best=1 shows %v, Database.Best picks %v", got, want)
+	}
+}
+
+// failingStore is a store whose writes fail, like a full disk.
+type failingStore struct{ *registry.MemStore }
+
+func (failingStore) Apply([]registry.Item) (registry.Applied, error) {
+	return registry.Applied{}, errors.New("disk full")
+}
+
+// TestSubmitStoreFailureIs500 pins that a submission the store could
+// not record is not reported as accepted.
+func TestSubmitStoreFailureIs500(t *testing.T) {
+	srv := New(&core.Database{}, WithStorage(failingStore{registry.NewMemStore()}))
+	req := httptest.NewRequest(http.MethodPost, "/api/submit?set=Trindade16&name=mux21", strings.NewReader(submittableLayout(t)))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "disk full") {
+		t.Fatalf("submit into a failing store: status %d %q, want 500", rec.Code, rec.Body)
 	}
 }
